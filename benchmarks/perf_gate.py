@@ -15,6 +15,9 @@ Workloads (mirroring ``bench_micro.py``'s hot-path benchmarks):
 * ``event_loop`` — schedule+dispatch of chained timer events (the
   simulator kernel).
 * ``tcp_bulk``   — bytes through two full TCP stacks over a delay pipe.
+* ``tcp_lossy_bulk`` — bulk TCP through a cellular-trace link with
+  60-packet drop-tail queues: queue drops, so the SACK scoreboard and
+  hole repair run (``tcp_bulk`` is loss-free and never reaches them).
 * ``page_load``  — one replayed page load through ReplayShell + LinkShell
   + DelayShell (the unit every paper experiment multiplies).
 * ``fabric_trials_per_s`` — a sweep sharded over 2 forked fabric workers
@@ -140,6 +143,56 @@ def wl_tcp_bulk() -> Tuple[float, str]:
     world.sim.run_until(lambda: bool(done), timeout=120)
     assert received[0] >= total_bytes
     return total_bytes / 1e6, "MB"
+
+
+def wl_tcp_lossy_bulk() -> Tuple[float, str]:
+    import random
+
+    from repro.linkem.delay import DelayPipe
+    from repro.linkem.generators import cellular_trace
+    from repro.linkem.overhead import OverheadModel
+    from repro.linkem.queues import DropTailQueue
+    from repro.linkem.trace import FileTraceSchedule
+    from repro.linkem.tracelink import TracePipe
+    from repro.net.pipe import ChainPipe
+    from repro.sim import Simulator
+    from repro.testing import TwoHostWorld
+    from repro.transport.wire import pieces_len
+
+    transfer_bytes = 1024 * 1024
+    transfers = max(2, int(20 * bench_scale()))
+    for seed in range(transfers):
+        trace = cellular_trace(random.Random(seed), duration_ms=5_000)
+        sim = Simulator(seed=seed)
+
+        def direction():
+            return ChainPipe(sim, [
+                TracePipe(sim, FileTraceSchedule(trace, 0.0),
+                          DropTailQueue(60)),
+                DelayPipe(sim, 0.020, OverheadModel.none()),
+            ])
+
+        world = TwoHostWorld(sim=sim, pipe_ab=direction(),
+                             pipe_ba=direction())
+        senders = []
+
+        def on_conn(conn) -> None:
+            senders.append(conn)
+            conn.on_data = lambda p: conn.send_virtual(transfer_bytes)
+
+        world.server.listen(None, 80, on_conn)
+        conn = world.client.connect(world.server_endpoint)
+        received = [0]
+        conn.on_established = lambda: conn.send(b"GET")
+
+        def on_data(pieces) -> None:
+            received[0] += pieces_len(pieces)
+
+        conn.on_data = on_data
+        sim.run_until(lambda: received[0] >= transfer_bytes, timeout=600)
+        assert received[0] == transfer_bytes
+        assert senders[0].retransmissions > 0
+    return transfers * transfer_bytes / 1e6, "MB"
 
 
 _PAGE_SITE = None
@@ -293,6 +346,7 @@ def wl_cas_corpus_load() -> Tuple[float, str]:
 WORKLOADS: List[Tuple[str, Callable[[], Tuple[float, str]]]] = [
     ("event_loop", wl_event_loop),
     ("tcp_bulk", wl_tcp_bulk),
+    ("tcp_lossy_bulk", wl_tcp_lossy_bulk),
     ("page_load", wl_page_load),
     ("load_clients_per_s", wl_load_clients),
     ("fabric_trials_per_s", wl_fabric_trials),

@@ -56,12 +56,6 @@ class TcpConfig:
         min_rto / max_rto / initial_rto: RTO policy, seconds.
         dupack_threshold: duplicate ACKs that trigger fast retransmit.
         max_syn_retries: SYN / SYN-ACK retransmissions before giving up.
-        sack_blocks: maximum SACK ranges reported per ACK. Real stacks fit
-            3-4 blocks in the option space and cycle through them across
-            consecutive ACKs, so the sender's scoreboard converges to the
-            receiver's full picture within a round trip; ``None`` (the
-            default) models that converged state directly. A small value
-            reproduces option-space-starved behaviour for experiments.
         congestion_control: factory ``mss -> CongestionControl``; defaults
             to NewReno with the configured initial window.
     """
@@ -74,7 +68,6 @@ class TcpConfig:
     initial_rto: float = 1.0
     dupack_threshold: int = 3
     max_syn_retries: int = 6
-    sack_blocks: Optional[int] = None
     congestion_control: Optional[Callable[[int], CongestionControl]] = None
 
     def make_congestion_control(self) -> CongestionControl:
@@ -88,8 +81,9 @@ class TcpSegment:
     """One TCP segment (the payload of a "tcp" packet).
 
     ``flags`` is a string drawn from "S", "A", "F", "R". ``sack`` carries
-    up to three selective-acknowledgement blocks as (start, end) sequence
-    ranges, like the SACK option every modern stack negotiates.
+    the receiver's selective-acknowledgement blocks as (start, end)
+    sequence ranges, lowest first: every out-of-order range it holds (see
+    ``TcpConnection._build_sack``).
     """
 
     __slots__ = (
@@ -122,42 +116,53 @@ class TcpSegment:
         )
 
 
-def _merge_range(
-    ranges: List[Tuple[int, int]], start: int, end: int
-) -> List[Tuple[int, int]]:
-    """Insert [start, end) into a sorted disjoint range list."""
-    merged: List[Tuple[int, int]] = []
-    placed = False
-    for r_start, r_end in ranges:
-        if r_end < start or (placed and r_start > end):
-            merged.append((r_start, r_end))
-        elif r_start > end:
-            if not placed:
-                merged.append((start, end))
-                placed = True
-            merged.append((r_start, r_end))
-        else:
-            start = min(start, r_start)
-            end = max(end, r_end)
-    if not placed:
-        merged.append((start, end))
-    merged.sort()
-    return merged
+def _union_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The union of a non-empty list of non-empty [start, end) ranges in
+    canonical form: sorted, disjoint, with touching ranges merged.
+
+    Callers pass a concatenation of a few sorted lists, which the sort
+    merges in linear time.
+    """
+    union: List[Tuple[int, int]] = []
+    ordered = sorted(ranges)
+    cur_start, cur_end = ordered[0]
+    for start, end in ordered:
+        if start > cur_end:
+            union.append((cur_start, cur_end))
+            cur_start, cur_end = start, end
+        elif end > cur_end:
+            cur_end = end
+    union.append((cur_start, cur_end))
+    return union
 
 
-def _subtract_range(
-    ranges: List[Tuple[int, int]], start: int, end: int
+def _subtract_ranges(
+    ranges: List[Tuple[int, int]], holes: List[Tuple[int, int]]
 ) -> List[Tuple[int, int]]:
-    """Remove [start, end) from a sorted disjoint range list."""
+    """Remove ``holes`` from ``ranges``; both sorted and disjoint, and
+    ``holes`` non-empty ranges.
+
+    One two-pointer pass: each range splits into its pieces outside every
+    hole, and a range no hole touches is kept as it is.
+    """
     result: List[Tuple[int, int]] = []
-    for r_start, r_end in ranges:
-        if r_end <= start or r_start >= end:
-            result.append((r_start, r_end))
-            continue
-        if r_start < start:
-            result.append((r_start, start))
-        if r_end > end:
-            result.append((end, r_end))
+    i = 0
+    n = len(holes)
+    for start, end in ranges:
+        while i < n and holes[i][1] <= start:
+            i += 1
+        j = i
+        while j < n and start < end:
+            h_start, h_end = holes[j]
+            if h_start >= end:
+                break
+            if h_start > start:
+                result.append((start, h_start))
+            # Past the holes skipped above, every hole ends beyond start.
+            start = h_end
+            j += 1
+        if start < end:
+            result.append((start, end))
     return result
 
 
@@ -815,8 +820,8 @@ class TcpConnection:
             return 0
         pieces = self._send_buffer.slice(offset, seg_len)
         self.retransmissions += 1
-        self._rexmit_out = _merge_range(
-            self._rexmit_out, start_seq, start_seq + seg_len
+        self._rexmit_out = _union_ranges(
+            self._rexmit_out + [(start_seq, start_seq + seg_len)]
         )
         self._send_segment(
             "A", seq=start_seq, ack=self._rcv_nxt, pieces=pieces, data_len=seg_len
@@ -827,22 +832,28 @@ class TcpConnection:
     # SACK scoreboard
 
     def _merge_sack(self, blocks: Tuple[Tuple[int, int], ...]) -> None:
-        ranges = list(self._sacked)
-        for start, end in blocks:
-            start = max(start, self._snd_una)
-            if end <= start:
-                continue
-            ranges = _merge_range(ranges, start, end)
+        """Fold one ACK's SACK blocks into the scoreboard.
+
+        Linear in blocks plus scoreboard: one sorted union, and (only
+        while retransmissions are outstanding) one subtraction.
+        """
+        una = self._snd_una
+        new = [
+            (start if start > una else una, end)
+            for start, end in blocks
+            if end > start and end > una
+        ]
+        if not new:
+            return
+        self._sacked = _union_ranges(self._sacked + new)
+        if self._rexmit_out:
             # SACKed data no longer counts as a retransmission in flight.
-            self._rexmit_out = _subtract_range(self._rexmit_out, start, end)
-        self._sacked = ranges
+            self._rexmit_out = _subtract_ranges(self._rexmit_out, _union_ranges(new))
 
     def _trim_sacked(self) -> None:
-        una = self._snd_una
-        self._sacked = [
-            (max(start, una), end) for start, end in self._sacked if end > una
-        ]
-        self._rexmit_out = _subtract_range(self._rexmit_out, 0, una)
+        acked = [(0, self._snd_una)]
+        self._sacked = _subtract_ranges(self._sacked, acked)
+        self._rexmit_out = _subtract_ranges(self._rexmit_out, acked)
 
     def _sacked_bytes(self) -> int:
         return sum(end - start for start, end in self._sacked)
@@ -890,12 +901,13 @@ class TcpConnection:
     def _build_sack(self) -> Tuple[Tuple[int, int], ...]:
         """SACK blocks for the out-of-order data we hold, lowest first.
 
-        See TcpConfig.sack_blocks for why the default reports every range.
+        Every range is reported. Real stacks fit 3-4 blocks in the option
+        space and cycle through them across consecutive ACKs, so the
+        sender's scoreboard converges to the receiver's full picture
+        within a round trip; reporting every range models that converged
+        state directly.
         """
-        return tuple(
-            (start + 1, end + 1)
-            for start, end in self._reasm.ranges(self.config.sack_blocks)
-        )
+        return tuple((start + 1, end + 1) for start, end in self._reasm.ranges())
 
     def _on_rto(self) -> None:
         if self._snd_una == self._snd_nxt:

@@ -16,7 +16,7 @@ pieces to the application.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 Piece = Union[bytes, int]
 
@@ -189,15 +189,12 @@ class ReassemblyBuffer:
         """Bytes held out of order, not yet deliverable."""
         return sum(end - start for start, end, __ in self._fragments)
 
-    def ranges(self, limit: Optional[int] = None) -> List[Tuple[int, int]]:
+    def ranges(self) -> List[Tuple[int, int]]:
         """The out-of-order (start, end) offset ranges held, lowest first.
 
-        Used by TCP to build SACK blocks; ``limit`` caps the count.
+        Used by TCP to build SACK blocks.
         """
-        out = [(start, end) for start, end, __ in self._fragments]
-        if limit is not None:
-            out = out[:limit]
-        return out
+        return [(start, end) for start, end, __ in self._fragments]
 
     def insert(self, offset: int, pieces: List[Piece]) -> None:
         """Store a fragment of the stream starting at ``offset``."""

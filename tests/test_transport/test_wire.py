@@ -187,7 +187,6 @@ class TestReassemblyBuffer:
         buf.insert(10, [b"aa"])
         buf.insert(20, [b"bb"])
         assert buf.ranges() == [(10, 12), (20, 22)]
-        assert buf.ranges(limit=1) == [(10, 12)]
 
 
 # ---------------------------------------------------------------------- #
