@@ -27,6 +27,9 @@ Workloads (mirroring ``bench_micro.py``'s hot-path benchmarks):
   (backoff + quarantine + redistribution overhead included).
 * ``cas_corpus_load`` — loading a CAS-backed (format v3) corpus, blob
   resolution included.
+* ``corpus_materialize`` — generating synthetic sites and recording each
+  one (the set-up every corpus experiment starts with; no other workload
+  generates a corpus inside its timed region).
 
 ``REPRO_BENCH_SCALE`` scales the event count and transfer size exactly as
 the rest of the bench suite scales trial counts (CI uses 0.1); the scale
@@ -343,6 +346,20 @@ def wl_cas_corpus_load() -> Tuple[float, str]:
     return float(len(site_dirs)), "sites"
 
 
+def wl_corpus_materialize() -> Tuple[float, str]:
+    """Generate N corpus-shaped sites and record each one once, as a
+    corpus experiment's set-up does before its first page load."""
+    from repro.corpus import generate_site
+
+    sites = max(20, int(400 * bench_scale()))
+    pairs = 0
+    for index in range(sites):
+        site = generate_site(f"site{index:03d}.com", seed=index)
+        pairs += len(site.to_recorded_site())
+    assert pairs > sites
+    return float(sites), "sites"
+
+
 WORKLOADS: List[Tuple[str, Callable[[], Tuple[float, str]]]] = [
     ("event_loop", wl_event_loop),
     ("tcp_bulk", wl_tcp_bulk),
@@ -352,6 +369,7 @@ WORKLOADS: List[Tuple[str, Callable[[], Tuple[float, str]]]] = [
     ("fabric_trials_per_s", wl_fabric_trials),
     ("fabric_degraded_trials_per_s", wl_fabric_degraded),
     ("cas_corpus_load", wl_cas_corpus_load),
+    ("corpus_materialize", wl_corpus_materialize),
 ]
 
 # ---------------------------------------------------------------------- #

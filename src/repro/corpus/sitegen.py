@@ -216,13 +216,12 @@ def generate_site(
         url(main_host, "/"), "html", sized(40_000, 130_000),
         children=children,
     )
-    page = PageModel(root, name=name)
-    host_ips = {host: ip_for_host(host) for host in hosts}
-    site = SyntheticSite(name, page, host_ips)
     # Rendering the root document fixes its true size; do it now so the
     # PageModel and the recording agree.
-    site.to_recorded_site()
-    return site
+    root.size = len(render_html(name, root.children, root.size))
+    page = PageModel(root, name=name)
+    host_ips = {host: ip_for_host(host) for host in hosts}
+    return SyntheticSite(name, page, host_ips)
 
 
 _EXT = {

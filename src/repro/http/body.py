@@ -24,25 +24,37 @@ class Body:
     __slots__ = ("_pieces", "_length")
 
     def __init__(self, pieces: List[Piece]) -> None:
-        self._pieces = [p for p in pieces if piece_len(p) > 0]
+        # A tuple of bytes/ints holds no references the cyclic GC could
+        # chase, so the collector untracks it; a list stays tracked.
+        self._pieces = tuple([p for p in pieces if piece_len(p) > 0])
         self._length = sum(piece_len(p) for p in self._pieces)
 
     @classmethod
+    def _single(cls, piece: Piece) -> "Body":
+        """``cls([piece])`` without the filtering pass (one body per
+        recorded pair is built this way, so it is on the set-up path)."""
+        body = cls.__new__(cls)
+        length = piece_len(piece)
+        body._pieces = (piece,) if length else ()
+        body._length = length
+        return body
+
+    @classmethod
     def empty(cls) -> "Body":
-        """A zero-length body."""
-        return cls([])
+        """A zero-length body (one shared instance: bodies are immutable)."""
+        return _EMPTY
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Body":
         """A body with real content."""
-        return cls([data])
+        return cls._single(data)
 
     @classmethod
     def virtual(cls, length: int) -> "Body":
         """A content-free body of ``length`` bytes."""
         if length < 0:
             raise ValueError(f"body length must be >= 0, got {length!r}")
-        return cls([length])
+        return cls._single(length)
 
     @property
     def length(self) -> int:
@@ -85,3 +97,6 @@ class Body:
     def __repr__(self) -> str:
         kind = "real" if self.is_fully_real else "virtual"
         return f"<Body {self._length}B {kind}>"
+
+
+_EMPTY = Body([])

@@ -32,7 +32,7 @@ class Headers:
 
     def add(self, name: str, value: str) -> None:
         """Append a header field (duplicates allowed, order kept)."""
-        if not name or any(c in name for c in ":\r\n"):
+        if not name or ":" in name or "\r" in name or "\n" in name:
             raise HttpProtocolError(f"invalid header name: {name!r}")
         if "\r" in value or "\n" in value:
             raise HttpProtocolError(f"invalid header value: {value!r}")

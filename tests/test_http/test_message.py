@@ -1,6 +1,8 @@
 """Unit tests for headers, bodies, requests, and responses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import HttpProtocolError
 from repro.http.body import Body
@@ -102,6 +104,112 @@ class TestBody:
     def test_empty_pieces_dropped(self):
         body = Body([b"", 0, b"x"])
         assert body.pieces == [b"x"]
+
+
+def _old_name_is_invalid(name):
+    """The header-name predicate ``Headers.add`` used before its plain
+    ``in`` tests, kept verbatim as the specification."""
+    return not name or any(c in name for c in ":\r\n")
+
+
+# Names drawn mostly from the characters that matter, so ':', CR, LF and
+# the empty name each turn up often.
+_header_names = st.one_of(
+    st.text(alphabet=st.sampled_from("aZ-_ :\r\n\t\x00\u00e9"),
+             max_size=6),
+    st.text(max_size=6),
+)
+
+
+class TestHeaderNameValidation:
+    @pytest.mark.parametrize("name", [
+        "", ":", "\r", "\n", "A:B", "A\rB", "A\nB", "Host:", ":path",
+        "X\r\n", " ", "Host", "X-Forwarded-For", "\t",
+    ])
+    def test_edge_names_match_old_predicate(self, name):
+        self._check(name)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_header_names)
+    def test_accepts_and_rejects_as_old_predicate(self, name):
+        self._check(name)
+
+    def _check(self, name):
+        headers = Headers()
+        if _old_name_is_invalid(name):
+            with pytest.raises(HttpProtocolError):
+                headers.add(name, "v")
+            assert len(headers) == 0
+        else:
+            headers.add(name, "v")
+            assert list(headers) == [(name, "v")]
+
+
+def _same_body(a, b):
+    assert a.length == b.length
+    assert len(a) == len(b)
+    assert a.pieces == b.pieces
+    assert a.is_fully_real == b.is_fully_real
+    assert a == b
+    assert repr(a) == repr(b)
+    if a.is_fully_real:
+        assert a.as_bytes() == b.as_bytes()
+
+
+class TestBodyConstructors:
+    """The single-piece constructors build a body directly; they must be
+    indistinguishable from the general list constructor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_from_bytes_equals_list_constructor(self, data):
+        _same_body(Body.from_bytes(data), Body([data]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=1 << 40))
+    def test_virtual_equals_list_constructor(self, length):
+        _same_body(Body.virtual(length), Body([length]))
+
+    def test_zero_length_constructors_are_empty(self):
+        for body in (Body.from_bytes(b""), Body.virtual(0), Body.empty()):
+            _same_body(body, Body([]))
+            assert body.pieces == []
+
+    def test_empty_is_shared_and_equal(self):
+        assert Body.empty() is Body.empty()
+        _same_body(Body.empty(), Body([]))
+
+    def test_bad_pieces_still_rejected(self):
+        with pytest.raises(TypeError):
+            Body.from_bytes("text")
+        with pytest.raises(TypeError):
+            Body.virtual(1.5)
+        with pytest.raises(ValueError):
+            Body.virtual(-1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.binary(max_size=8),
+                              st.integers(min_value=0, max_value=99)),
+                    max_size=5),
+           st.one_of(st.binary(max_size=8),
+                     st.integers(min_value=0, max_value=99)))
+    def test_mutating_pieces_never_changes_a_body(self, pieces, extra):
+        bodies = [
+            Body(pieces),
+            Body.empty(),
+            Body.from_bytes(b"abc"),
+            Body.virtual(7),
+        ]
+        before = [(b.length, b.pieces, repr(b)) for b in bodies]
+        for body in bodies:
+            exposed = body.pieces
+            exposed.append(extra)
+            exposed.insert(0, extra)
+            if len(exposed) > 2:
+                exposed.pop(1)
+        after = [(b.length, b.pieces, repr(b)) for b in bodies]
+        assert after == before
+        _same_body(Body.empty(), Body([]))
 
 
 class TestHttpRequest:
